@@ -11,13 +11,21 @@ import repro.exp._
   * Every job prints the experiment table to stdout.
   */
 object Jobs {
+  /** The one place a SparkSession is configured: the jobs, the tests and
+    * the benchmark all start theirs here. Broadcast joins are off so that
+    * joins take the shuffle path at every scale.
+    */
   def session(name: String): SparkSession =
     SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
-      .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
+      .config("spark.sql.shuffle.partitions", 64)
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      // see SparkSpec: keeps size-only estimation bounded over iterative plans
+      // Leaf relations created from RDDs (LogicalRDD, see `Dataflow.pin`)
+      // have no statistics and default to Long.MaxValue; the construction
+      // pipelines join such frames repeatedly and the size-only estimator
+      // multiplies child sizes, so a modest default keeps planner
+      // arithmetic cheap.
       .config("spark.sql.defaultSizeInBytes", (8L * 1024 * 1024).toString)
       .getOrCreate()
 

@@ -72,17 +72,21 @@ object Construction {
     val spark = state.stable.sparkSession
     import spark.implicits._
 
+    // A payload frame may be a lazy dataflow (the ingestion platform's
+    // diff); each below is read by more than one action, so it is pinned.
+
     // ------------------------------------------------------------- ToAdd
     // Fully linked: extract the per-type KG view, link, rewrite, resolve.
-    val addTypes = payload.added
+    val added = Dataflow.pin(payload.added)
+    val addTypes = added
       .filter(col(Schema.Predicate) === Ontology.TypePred)
       .select(Schema.Obj).distinct().as[String].collect().toSeq
     val (addPayload, newLinks, sameAs) =
       if (addTypes.isEmpty) (Schema.emptyTriples(spark), Seq.empty[(String, String)].toDF("srcId", "kgId"), Schema.emptyTriples(spark))
       else {
         val kgView = Linking.kgViewForTypes(state.stable, addTypes)
-        val res = Linking.run(payload.added, kgView, model, posThr, negThr)
-        (obr(Linking.rewriteSubjects(payload.added, res.links)), res.links, res.sameAs)
+        val res = Linking.run(added, kgView, model, posThr, negThr)
+        (obr(Linking.rewriteSubjects(added, res.links)), res.links, res.sameAs)
       }
 
     // ---------------------------------------------------------- ToUpdate
@@ -90,30 +94,31 @@ object Construction {
     // blocking/matching. Entities with no prior link (out-of-order feeds)
     // are routed through the Added path on the next batch; here they are
     // dropped from the update set to keep the lookup contract explicit.
-    val updSubjects = payload.updated.select(col(Schema.Subject).as("srcId")).distinct()
-    val updLinks = updSubjects.join(state.links, Seq("srcId"))
-    val updPayload = obr(Linking.rewriteSubjects(payload.updated, updLinks))
+    val updated = Dataflow.pin(payload.updated)
+    val updSubjects = updated.select(col(Schema.Subject).as("srcId")).distinct()
+    val updLinks = Dataflow.pin(updSubjects.join(state.links, Seq("srcId")))
+    val updPayload = obr(Linking.rewriteSubjects(updated, updLinks))
     val updKgSubjects = updLinks.select(col("kgId").as("subject")).distinct()
 
     // ---------------------------------------------------------- ToDelete
-    val delSubjects = payload.deleted.select(col(Schema.Subject).as("srcId")).distinct()
+    val delSubjects = Dataflow.pin(payload.deleted.select(col(Schema.Subject).as("srcId")).distinct())
     val delLinks = delSubjects.join(state.links, Seq("srcId"))
     val delKgSubjects = delLinks.select(col("kgId").as("subject")).distinct()
 
     // ------------------------------------------------- fusion sync point
     // Retract this source's prior contribution for updated+deleted
     // subjects, then fuse the new payloads and the same_as provenance.
-    // Materialize the three payload dataflows at the sync point so the
-    // fusion plan is shallow (deep composite plans degrade Catalyst's
-    // size-estimation into unbounded BigInteger arithmetic).
+    // As everywhere (see `Dataflow.pin`), a frame is pinned only when more
+    // than one action reads it: the payloads and subjects below feed both
+    // fusion and the batch's Stats, which count nothing else. The fused KG
+    // is pinned only for truth discovery, which reads it in every round and
+    // for its result; otherwise the next state's materialization reads it.
     val addReady = Dataflow.pin(addPayload.unionByName(sameAs))
     val updReady = Dataflow.pin(updPayload)
-    val retracted = Dataflow.pin(Fusion.retractSource(
-      state.stable, payload.source, updKgSubjects.union(delKgSubjects)))
-    val fusedOnce = Dataflow.pin(Fusion.fuse(retracted, addReady))
-    val fusedTwice = Fusion.fuse(fusedOnce, updReady)
-    val newStable0 =
-      if (runTruthDiscovery) Fusion.truthDiscovery(fusedTwice) else fusedTwice
+    val touched = Dataflow.pin(updKgSubjects.union(delKgSubjects).distinct())
+    val fused = Fusion.fuse(
+      Fusion.fuse(Fusion.retractSource(state.stable, payload.source, touched), addReady), updReady)
+    val newStable0 = if (runTruthDiscovery) Fusion.truthDiscovery(Dataflow.pin(fused)) else fused
 
     // ------------------------------------------------------ link table
     val keptLinks = state.links.join(delSubjects, Seq("srcId"), "left_anti")
@@ -130,10 +135,11 @@ object Construction {
       state.volatile, payload.source, Schema.canonicalize(dumpLinked))
 
     val next = KGState(newStable0, newVolatile, allLinks).materialized
+    val linkedNew = newLinks.count()
     val stats = Stats(payload.source,
-      linkedNew = newLinks.count(), reusedLinks = updLinks.count(),
-      retractedSubjects = updKgSubjects.union(delKgSubjects).distinct().count(),
-      fusedFacts = addPayload.count() + updPayload.count())
+      linkedNew = linkedNew, reusedLinks = updLinks.count(), retractedSubjects = touched.count(),
+      // addReady holds the Added payload plus one same_as fact per new link
+      fusedFacts = addReady.count() - linkedNew + updReady.count())
     (next, stats)
   }
 

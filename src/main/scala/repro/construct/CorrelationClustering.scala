@@ -85,7 +85,7 @@ object CorrelationClustering {
     // Pin down the (small) edge relation once; everything below reuses it.
     val edges = Dataflow.pin(edges0)
     val pos = edges.filter(col("sign") > 0).select("a", "b")
-    val comps = Dataflow.pin(connectedComponents(nodes, pos))
+    val comps = connectedComponents(nodes, pos)
 
     val eWithComp = edges
       .join(comps.withColumnRenamed("id", "a").withColumnRenamed("comp", "compA"), Seq("a"))
@@ -104,7 +104,7 @@ object CorrelationClustering {
       val es = edgeIt.map { case (_, a, b, s, sc) => Edge(a, b, s, sc) }.toSeq
       clusterLocal(ns, es, seed).iterator
     }
-    Dataflow.pin(assignments.toDF("id", "cluster"))
+    assignments.toDF("id", "cluster")
   }
 
   /** Total disagreement cost of an assignment: +edges cut plus −edges kept

@@ -147,11 +147,11 @@ object Fusion {
     * the confidence of the facts it supports. Conflicts are competing
     * objects for the same single-valued slot (same subject, predicate,
     * relationship slot, locale). Multi-valued predicates (alias, same_as)
-    * keep their noisy-or confidence.
+    * keep their noisy-or confidence. `kg` is read once per round and once
+    * for the result, so pass a pinned frame (see `Dataflow.pin`).
     */
   def truthDiscovery(kg: DataFrame, iterations: Int = 2,
                      multiValued: Set[String] = Set(Ontology.AliasPred, Ontology.SameAs)): DataFrame = {
-    val spark = kg.sparkSession
     val td = kg.filter(!col(Schema.Predicate).isin(multiValued.toSeq: _*))
     val keep = kg.filter(col(Schema.Predicate).isin(multiValued.toSeq: _*))
 
@@ -162,8 +162,9 @@ object Fusion {
       .collect().map(r => r.getString(0) -> r.getDouble(1)).toMap
 
     val slot = Seq(Schema.Subject, Schema.Predicate, Schema.RId, Schema.RPredicate, Schema.Locale)
+    val rounds = math.max(1, iterations)
     var cur = td
-    for (_ <- 0 until math.max(1, iterations)) {
+    for (i <- 0 until rounds) {
       val rel = reliability
       val wUdf = udf((srcs: Seq[String]) => srcs.map(rel.getOrElse(_, 0.5)).sum)
       val noisyOr = udf((srcs: Seq[String], ts: Seq[Double]) =>
@@ -178,7 +179,8 @@ object Fusion {
             .otherwise(noisyOr(col(Schema.Sources), col(Schema.Trust))), 6))
         .drop("__w", "__total", "__nvals")
       cur = scoredNow
-      reliability = scoredNow
+      // the last round's reliability would go unused
+      if (i < rounds - 1) reliability = scoredNow
         .select(col(Schema.Conf), explode(col(Schema.Sources)).as("src"))
         .groupBy("src").agg(avg(Schema.Conf).as("r"))
         .collect().map(r => r.getString(0) -> r.getDouble(1)).toMap

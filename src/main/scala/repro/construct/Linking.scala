@@ -94,10 +94,11 @@ object Linking {
     val srcIds = allDf.filter(!col("isKg")).select(col("id"))
     val allPairs = Blocking.candidatePairs(
       Blocking.blocks(allDf.select("id", "etype", "name", "aliases"), maxBlockSize))
-    val pairs = allPairs
+    // Pinned: both pair scoring and the active subgraph below read it.
+    val pairs = Dataflow.pin(allPairs
       .join(srcIds.withColumnRenamed("id", "id1"), Seq("id1"), "left_semi")
       .unionByName(allPairs.join(srcIds.withColumnRenamed("id", "id2"), Seq("id2"), "left_semi"))
-      .dropDuplicates("id1", "id2")
+      .dropDuplicates("id1", "id2"))
 
     // Score pairs with the matching model.
     val r1 = allDf.select(col("id").as("id1"), struct(allDf.columns.map(col): _*).as("r1"))

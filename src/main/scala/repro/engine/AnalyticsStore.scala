@@ -127,18 +127,12 @@ object AnalyticsStore {
       */
     def typedPivot(etype: String): DataFrame =
       typed.computeIfAbsent(etype, { t =>
-        val df = pivot
-          .filter(org.apache.spark.sql.functions.col("props").getItem("type") === t)
-          .coalesce(8).cache()
+        val df = pivot.filter(col("props").getItem("type") === t).coalesce(8).cache()
         df.count()
         df
       })
 
-    def view(etype: String, preds: Seq[String]): DataFrame = {
-      val cols: Seq[Column] =
-        org.apache.spark.sql.functions.col(Schema.Subject).as("id") +:
-          preds.map(p => org.apache.spark.sql.functions.col("props").getItem(p).as(colName(p)))
-      typedPivot(etype).select(cols: _*)
-    }
+    def view(etype: String, preds: Seq[String]): DataFrame =
+      entityView(typedPivot(etype), etype, preds)
   }
 }

@@ -3,6 +3,7 @@ package repro.engine
 import java.util.concurrent.ConcurrentHashMap
 import java.util.concurrent.atomic.AtomicLong
 import scala.jdk.CollectionConverters._
+import scala.util.control.NonFatal
 
 /** KG storage coordination (§3.1): a durable, ordered operation log with
   * log sequence numbers (LSNs) as the distributed synchronization
@@ -79,24 +80,35 @@ object OpLog {
 
     /** Replay all outstanding operations on every agent. Each agent
       * progresses independently from its own recorded LSN, so a slow or
-      * newly-added store catches up without disturbing the others.
+      * newly-added store catches up without disturbing the others, and a
+      * failing store does not hold the others back: its recorded LSN stays
+      * at its last replayed operation, every other agent is still drained,
+      * and one exception naming the failed stores is thrown at the end.
       */
-    def drain(): Unit =
-      agents.foreach { a =>
-        log.readFrom(meta.lsnOf(a.storeName)).foreach { op =>
-          a.replay(op)
-          meta.replayedUpTo(a.storeName, op.lsn)
-        }
-      }
+    def drain(): Unit = drainAgents(agents)
 
     /** Drain only the named store (e.g. prototyping a new engine). */
     def drain(store: String): Unit =
-      agents.filter(_.storeName == store).foreach { a =>
-        log.readFrom(meta.lsnOf(a.storeName)).foreach { op =>
-          a.replay(op)
-          meta.replayedUpTo(a.storeName, op.lsn)
-        }
+      drainAgents(Seq(agents.find(_.storeName == store)
+        .getOrElse(throw new IllegalArgumentException(s"unknown store '$store'"))))
+
+    private def drainAgents(targets: Seq[OrchestrationAgent]): Unit = {
+      val failures = targets.flatMap { a =>
+        try {
+          log.readFrom(meta.lsnOf(a.storeName)).foreach { op =>
+            a.replay(op)
+            meta.replayedUpTo(a.storeName, op.lsn)
+          }
+          None
+        } catch { case NonFatal(e) => Some(a.storeName -> e) }
       }
+      if (failures.nonEmpty) {
+        val e = new IllegalStateException(
+          s"replay failed on stores: ${failures.map(_._1).mkString(", ")}", failures.head._2)
+        failures.tail.foreach(f => e.addSuppressed(f._2))
+        throw e
+      }
+    }
 
     def freshness: Long = meta.freshness(agents.map(_.storeName))
   }

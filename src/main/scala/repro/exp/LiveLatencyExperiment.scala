@@ -1,6 +1,7 @@
 package repro.exp
 
 import java.util.concurrent.{ConcurrentLinkedQueue, CountDownLatch, Executors, TimeUnit}
+import scala.concurrent.duration._
 import org.apache.spark.sql.SparkSession
 import repro.SynthKG
 import repro.engine.Importance
@@ -70,7 +71,15 @@ object LiveLatencyExperiment {
 
     // Warmup (JIT) on a prefix of the workload.
     qs.take(math.min(300, qs.size)).foreach(engine.query)
+    measure(qs, threads, timeout = 10.minutes)(q => engine.query(q))
+  }
 
+  /** Run `qs` on `threads` workers and report the latency percentiles and
+    * throughput of the queries that completed; a query that throws is not
+    * counted. Fails if the queries are not done within `timeout`.
+    */
+  private[exp] def measure(qs: Seq[String], threads: Int, timeout: FiniteDuration)
+                          (exec: String => Unit): E7Result = {
     val latencies = new ConcurrentLinkedQueue[Long]()
     val pool = Executors.newFixedThreadPool(threads)
     val latch = new CountDownLatch(qs.size)
@@ -79,21 +88,24 @@ object LiveLatencyExperiment {
       pool.submit(new Runnable {
         def run(): Unit = try {
           val s = System.nanoTime()
-          engine.query(q)
+          exec(q)
           latencies.add(System.nanoTime() - s)
         } finally latch.countDown()
       })
     }
-    latch.await(10, TimeUnit.MINUTES)
+    val finished = latch.await(timeout.toNanos, TimeUnit.NANOSECONDS)
     val wall = (System.nanoTime() - t0) / 1e9
-    pool.shutdown()
+    pool.shutdownNow()
+    if (!finished)
+      throw new IllegalStateException(s"${latch.getCount} of ${qs.size} queries still running after $timeout")
 
     val sorted = {
       import scala.jdk.CollectionConverters._
       latencies.asScala.toArray.sorted
     }
     def pctl(p: Double): Double =
-      sorted(math.min(sorted.length - 1, (p * sorted.length).toInt)) / 1e6
-    E7Result(qs.size, threads, pctl(0.50), pctl(0.95), pctl(0.99), qs.size / wall)
+      if (sorted.isEmpty) Double.NaN
+      else sorted(math.min(sorted.length - 1, (p * sorted.length).toInt)) / 1e6
+    E7Result(sorted.length, threads, pctl(0.50), pctl(0.95), pctl(0.99), sorted.length / wall)
   }
 }

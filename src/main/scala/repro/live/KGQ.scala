@@ -58,11 +58,16 @@ object KGQ {
     out.toList
   }
 
-  /** Parse a KGQ query, expanding virtual operators from `ops`. */
+  /** Parse a KGQ query, expanding virtual operators from `ops`. A
+    * malformed query throws [[ParseException]].
+    */
   def parse(text: String, ops: Map[String, VirtualOp] = Map.empty): Query = {
     var toks = tokenize(text)
     def peek: Option[String] = toks.headOption
-    def next(): String = { val h = toks.head; toks = toks.tail; h }
+    def next(): String = toks match {
+      case h :: t => toks = t; h
+      case Nil    => throw new ParseException("unexpected end of query")
+    }
     def expect(t: String): Unit = {
       val h = next()
       if (!h.equalsIgnoreCase(t)) throw new ParseException(s"expected $t, got $h")
@@ -109,7 +114,12 @@ object KGQ {
     val ret = scala.collection.mutable.ListBuffer[String](next())
     while (peek.contains(",")) { next(); ret += next() }
     var limit = 25
-    if (peek.exists(_.equalsIgnoreCase("LIMIT"))) { next(); limit = next().toInt }
+    if (peek.exists(_.equalsIgnoreCase("LIMIT"))) {
+      next()
+      val n = next()
+      limit = n.toIntOption.filter(_ >= 0)
+        .getOrElse(throw new ParseException(s"LIMIT needs a non-negative integer, got $n"))
+    }
     if (toks.nonEmpty) throw new ParseException(s"trailing tokens: $toks")
     Query(ty, conds.toSeq, ret.toSeq, limit)
   }

@@ -115,4 +115,27 @@ class OpLogSpec extends AnyFunSuite {
     orch.drain()
     assert(meta.freshness(Seq("a", "b")) == lsn)
   }
+
+  test("a failing agent does not stop the others, and drain names it") {
+    val log = new Log
+    val meta = new MetadataStore
+    val a = new RecordingAgent("a"); val c = new RecordingAgent("c")
+    val bad = new OrchestrationAgent {
+      val storeName = "bad"
+      def replay(op: Op): Unit = if (op.lsn == 3) throw new IllegalStateException("boom")
+    }
+    (1 to 4).foreach(i => log.append("snapshot", s"p$i"))
+    val e = intercept[IllegalStateException] { new Orchestrator(log, meta, Seq(a, bad, c)).drain() }
+    assert(e.getMessage == "replay failed on stores: bad")
+    assert(e.getCause.getMessage == "boom")
+    assert(a.seen.map(_.lsn) == Seq(1L, 2L, 3L, 4L))
+    assert(c.seen.map(_.lsn) == Seq(1L, 2L, 3L, 4L))
+    assert(meta.lsnOf("bad") == 2) // its last replayed op
+    assert(meta.lsnOf("a") == 4 && meta.lsnOf("c") == 4)
+  }
+
+  test("drain of an unknown store fails") {
+    val orch = new Orchestrator(new Log, new MetadataStore, Seq(new RecordingAgent("a")))
+    intercept[IllegalArgumentException] { orch.drain("ghost") }
+  }
 }

@@ -55,6 +55,18 @@ class ExperimentsSmokeSpec extends SparkSpec {
     assert(res.p50Ms <= res.p95Ms && res.p95Ms <= res.p99Ms)
   }
 
+  test("E7 reports only the queries that completed and fails on a timeout") {
+    import scala.concurrent.duration._
+    val boom = (q: String) => if (q == "boom") throw new IllegalStateException(q)
+    val res = LiveLatencyExperiment.measure(Seq("ok", "boom", "ok"), threads = 2, 1.minute)(boom)
+    assert(res.queries == 2 && res.qps > 0)
+    val none = LiveLatencyExperiment.measure(Seq("boom"), threads = 1, 1.minute)(boom)
+    assert(none.queries == 0 && none.p50Ms.isNaN)
+    intercept[IllegalStateException] {
+      LiveLatencyExperiment.measure(Seq("slow"), threads = 1, 50.millis)(_ => Thread.sleep(5000))
+    }
+  }
+
   test("E8 harness times all four legs") {
     val res = IncrementalExperiment.run(spark, scale = 10)
     assert(res.fullSec > 0 && res.incrementalSec > 0)

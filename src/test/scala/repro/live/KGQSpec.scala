@@ -1,6 +1,8 @@
 package repro.live
 
 import org.scalatest.funsuite.AnyFunSuite
+import org.scalacheck.{Gen, Prop}
+import repro.Props
 import KGQ._
 import Stores._
 
@@ -54,6 +56,36 @@ class KGQSpec extends AnyFunSuite {
 
   test("parse rejects unknown virtual operators") {
     intercept[ParseException] { parse("""FIND person WHERE $nope("x") RETURN name""") }
+  }
+
+  test("parse rejects truncated queries with a ParseException") {
+    Seq("", "FIND", "FIND person", "FIND person WHERE", "FIND person WHERE name",
+        "FIND person WHERE name =", """FIND person WHERE name = "A" AND""",
+        """FIND person WHERE name = "A" AND RETURN name""", "FIND person RETURN",
+        "FIND person RETURN name,", "FIND person RETURN name LIMIT",
+        """FIND person WHERE spouse -> (name = "A" RETURN name"""
+    ).foreach(q => intercept[ParseException](parse(q)))
+  }
+
+  test("parse rejects a LIMIT that is not a non-negative integer") {
+    Seq("x", "-3", "2.5", "99999999999").foreach { n =>
+      intercept[ParseException](parse(s"FIND person RETURN name LIMIT $n"))
+    }
+    assert(parse("FIND person RETURN name LIMIT 0").limit == 0)
+  }
+
+  test("parse is total: random token strings parse or throw ParseException") {
+    val ops: Map[String, VirtualOp] = Map("op" -> (args => args.map(Eq("name", _))))
+    val vocab = Seq("FIND", "WHERE", "AND", "RETURN", "LIMIT", "*", "person", "name", "=", "~",
+      "->", "(", ")", ",", "\"x y\"", "\"", "$op", "$nope", "3", "-1", "x")
+    val query = Gen.listOf(Gen.oneOf(vocab)).map(_.mkString(" "))
+    val shaped = for {
+      body <- query
+      tail <- query
+    } yield s"FIND person WHERE $body RETURN $tail"
+    Props.check(Prop.forAll(Gen.oneOf(query, shaped)) { q =>
+      try { parse(q, ops); true } catch { case _: ParseException => true }
+    }, minTests = 2000)
   }
 
   test("virtual operators expand to condition fragments") {
